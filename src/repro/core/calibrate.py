@@ -111,15 +111,11 @@ def fit_cost_model(
         ]
     )
     y = np.array([s.seconds for s in samples])
-    try:
-        # true non-negative least squares when scipy is available —
-        # plain lstsq + clipping degrades badly on collinear samples
-        from scipy.optimize import nnls
+    # true non-negative least squares — plain lstsq + clipping degrades
+    # badly on collinear samples
+    from scipy.optimize import nnls
 
-        coef, _residual = nnls(features, y)
-    except ImportError:  # numpy-only fallback
-        coef, *_ = np.linalg.lstsq(features, y, rcond=None)
-        coef = np.clip(coef, 0.0, None)
+    coef, _residual = nnls(features, y)
     pred = features @ coef
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())

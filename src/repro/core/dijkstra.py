@@ -1,8 +1,11 @@
 """Classic (unmodified) Dijkstra SSSP — the reuse-free reference.
 
-Used by the repeated-Dijkstra baseline and by ablations that measure
-how much the flag shortcut saves.  Binary heap with lazy deletion;
-O((n + m) log n).
+:func:`dijkstra_sssp` is used by the repeated-Dijkstra baseline and by
+ablations that measure how much the flag shortcut saves.  Binary heap
+with lazy deletion; O((n + m) log n).
+
+:func:`sssp_rows` is the row kernel of every flags-off store path: a
+batch of independent Dijkstras run by scipy's C implementation.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ import heapq
 
 import numpy as np
 
-from ..exceptions import AlgorithmError
+from ..exceptions import AlgorithmError, NegativeWeightError
 from ..graphs.csr import CSRGraph
+from ..obs import metrics as _obs
 from ..types import INF, OpCounts
 
-__all__ = ["dijkstra_sssp"]
+__all__ = ["dijkstra_sssp", "sssp_rows"]
 
 
 def dijkstra_sssp(
@@ -56,3 +60,42 @@ def dijkstra_sssp(
                 counts.edge_improvements += 1
                 heapq.heappush(heap, (nd, int(v)))
     return dist, counts
+
+
+def sssp_rows(graph: CSRGraph, sources) -> np.ndarray:
+    """Shortest distances from each of ``sources``, one row per source.
+
+    Returns a fresh ``(len(sources), n)`` float64 array (``inf`` where
+    unreachable), computed by ``scipy.sparse.csgraph.dijkstra`` over the
+    graph's own CSR arrays.  Each row is bitwise equal to a flags-off
+    :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` row
+    under either queue: every exact SSSP algorithm that adds arc
+    weights left to right settles on the same float fixpoint, the
+    minimum over paths of the running sum.  The arrays are handed over
+    as they are, so duplicate arcs stay parallel arcs (the lighter one
+    wins) instead of being summed, and explicit zero weights stay arcs.
+    (The interpreted sweep keeps the *last* copy of a duplicate arc, so
+    the two agree on duplicates only where the last copy is lightest;
+    graphs built by :mod:`repro.graphs.build` have none.)
+
+    Counts ``sssp.rows`` (one per source) when metrics are on.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = graph.num_vertices
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise AlgorithmError(f"sources outside [0, {n})")
+    if graph.has_negative_weights:
+        raise NegativeWeightError(
+            f"graph {graph.name or 'anonymous'!r} has negative arc "
+            "weights; Dijkstra rows need non-negative weights"
+        )
+    if not sources.size:
+        return np.empty((0, n), dtype=np.float64)
+    _obs.counter_add("sssp.rows", int(sources.size))
+    matrix = csr_matrix(
+        (graph.weights, graph.indices, graph.indptr), shape=(n, n)
+    )
+    return dijkstra(matrix, directed=True, indices=sources)

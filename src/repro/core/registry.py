@@ -50,11 +50,18 @@ class ShardHooks:
     streaming callers may ignore the return value); the optional
     ``finalize(start, block)`` post-processes a completed ``(k, n)``
     block in place before it is yielded (Johnson un-reweights there).
+
+    The optional ``solve_rows(graph, sources)`` returns the rows of
+    ``sources`` in one ``(len(sources), n)`` array, bitwise equal to
+    what ``sweep_row`` would produce.  A solver sets it when its rows
+    do not depend on each other (the sweep family with flags off), and
+    the streaming solve then fills each shard with one call.
     """
 
     graph: object
     sweep_row: Callable[..., None]
     finalize: Optional[Callable[[int, object], None]] = None
+    solve_rows: Optional[Callable[[object, object], object]] = None
 
 
 @dataclass(frozen=True)

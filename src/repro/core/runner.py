@@ -56,6 +56,7 @@ __all__ = [
     "AlgorithmSpec",
     "solve_apsp",
     "solve_apsp_shards",
+    "solve_apsp_rows",
     "algorithm_names",
 ]
 
@@ -75,7 +76,10 @@ def algorithm_names() -> Tuple[str, ...]:
 def _sweep_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
     """Sweep-family shard participation: one modified-Dijkstra row per
     source, flag reuse restricted to in-shard rows (see
-    :func:`solve_apsp_shards`)."""
+    :func:`solve_apsp_shards`).  With flags off the rows are plain
+    Dijkstras, so whole shards go to the C row kernel
+    :func:`~repro.core.dijkstra.sssp_rows`."""
+    from .dijkstra import sssp_rows
     from .modified_dijkstra import modified_dijkstra_sssp
 
     def sweep_row(g, source, state, cfg):
@@ -87,7 +91,8 @@ def _sweep_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
             use_flags=cfg.algorithm.use_flags,
         )
 
-    return ShardHooks(graph, sweep_row)
+    solve_rows = None if cfg.algorithm.use_flags else sssp_rows
+    return ShardHooks(graph, sweep_row, solve_rows=solve_rows)
 
 
 def _register_sweep_family() -> None:
@@ -530,69 +535,16 @@ class _ShardState:
         return self._n
 
 
-def solve_apsp_shards(
-    graph: CSRGraph,
-    *,
-    shard_rows: int,
-    start_row: int = 0,
-    stop_row: "int | None" = None,
-    config=None,
-    **kwargs,
-):
-    """Stream the APSP matrix as ``(start_row, rows)`` blocks.
+def _store_solver(graph: CSRGraph, config, kwargs):
+    """Resolve the config and the shard hooks of a streaming solve.
 
-    The out-of-core companion of :func:`solve_apsp`: shards of
-    ``shard_rows`` consecutive *vertex ids* are solved one at a time
-    into a single reusable ``(shard_rows, n)`` buffer, so peak memory is
-    O(shard_rows × n) instead of O(n²) — this is what
-    :func:`repro.serve.solve_to_store` writes to disk shard by shard.
-
-    Within a shard, sources are issued in the configured ordering
-    (restricted to the shard) and Algorithm 1's flag-reuse shortcut
-    applies to rows already finalised *in the same shard*; rows outside
-    the buffer are simply not reused.  Distances are exact either way
-    (the flag merge is an optimisation, not a correctness requirement),
-    but because the merge changes float summation order, flags-on
-    output can differ from the in-memory solver in the last bit and
-    depends on ``shard_rows``.  With ``use_flags=False`` every source
-    is an independent Dijkstra and the output is bitwise identical to
-    the in-memory solve regardless of shard size — which is why
-    :func:`repro.serve.solve_to_store` builds stores that way.
-
-    Only the serial backend is meaningful here — the buffer is the
-    memory bound, and handing it to several workers would break it.
-    Yields ``(start, rows)`` with ``rows`` of shape ``(k, n)`` where the
-    last shard may be short.  The yielded array is reused between
-    shards: copy (or write out) before advancing the generator.
-    ``start_row``/``stop_row`` restrict the sweep to a sub-range of
-    shards (``start_row`` on a shard boundary) — how
-    :meth:`repro.serve.DistStore.repair` re-solves only damaged shards.
+    Shared by :func:`solve_apsp_shards` and :func:`solve_apsp_rows`:
+    the serial backend only, a store-buildable solver, and no negative
+    weights unless the solver declares them.
     """
     from ..config import SolverConfig
     from ..exceptions import ConfigError
-    from ..types import INF
 
-    if not isinstance(shard_rows, int) or isinstance(shard_rows, bool) \
-            or shard_rows < 1:
-        raise ConfigError(
-            f"shard_rows must be an int >= 1, got {shard_rows!r}",
-            field="shard_rows",
-        )
-    n_total = graph.num_vertices
-    if stop_row is None:
-        stop_row = n_total
-    if not (0 <= start_row <= stop_row <= n_total):
-        raise ConfigError(
-            f"need 0 <= start_row <= stop_row <= n ({n_total}); got "
-            f"start_row={start_row!r}, stop_row={stop_row!r}",
-            field="start_row",
-        )
-    if start_row % shard_rows != 0:
-        raise ConfigError(
-            f"start_row must fall on a shard boundary (multiple of "
-            f"{shard_rows}), got {start_row}",
-            field="start_row",
-        )
     if config is None:
         cfg = SolverConfig.from_kwargs(
             **_normalize_kwargs(dict(kwargs))
@@ -624,44 +576,150 @@ def solve_apsp_shards(
     # the spec decides how a row is produced: which graph the sweeps run
     # on (Johnson substitutes its reweighted graph), how one source's
     # row is filled, and any per-block post-processing
-    hooks = spec.shard_hooks(graph, cfg)
-    ordering_name = (
-        cfg.algorithm.ordering
-        if cfg.algorithm.ordering is not None
-        else spec.ordering
-    )
-    n = graph.num_vertices
-    degrees = degree_array(graph, cfg.algorithm.degree_kind)
-    ordering_kwargs = {}
-    if ordering_name == "selection":
-        ordering_kwargs["ratio"] = cfg.algorithm.ratio
-        ordering_kwargs["fast"] = n > 4000
-    with _obs.span("apsp.ordering"):
-        order_result = compute_order(
-            ordering_name, degrees, num_threads=1, backend=Backend.SERIAL,
-            **ordering_kwargs,
-        )
-    # position[v] = issue rank of vertex v under the configured ordering
-    position = np.empty(n, dtype=np.int64)
-    position[order_result.order] = np.arange(n, dtype=np.int64)
+    return cfg, spec, spec.shard_hooks(graph, cfg)
 
+
+def solve_apsp_shards(
+    graph: CSRGraph,
+    *,
+    shard_rows: int,
+    start_row: int = 0,
+    stop_row: "int | None" = None,
+    config=None,
+    **kwargs,
+):
+    """Stream the APSP matrix as ``(start_row, rows)`` blocks.
+
+    The out-of-core companion of :func:`solve_apsp`: shards of
+    ``shard_rows`` consecutive *vertex ids* are solved one at a time
+    into a single reusable ``(shard_rows, n)`` buffer, so peak memory is
+    O(shard_rows × n) instead of O(n²) — this is what
+    :func:`repro.serve.solve_to_store` writes to disk shard by shard.
+
+    With ``use_flags=False`` every source is an independent Dijkstra,
+    so the sweep family hands each whole shard to the C row kernel
+    :func:`~repro.core.dijkstra.sssp_rows` (scipy's Dijkstra) in one
+    call and skips the ordering, which cannot matter.  Its rows are
+    bitwise equal to the interpreted flags-off sweep and to the
+    in-memory solve regardless of shard size — which is why
+    :func:`repro.serve.solve_to_store` builds stores that way.
+
+    With flags on, sources are issued in the configured ordering
+    (restricted to the shard) and Algorithm 1's flag-reuse shortcut
+    applies to rows already finalised *in the same shard*; rows
+    outside the buffer are simply not reused.  Distances are exact
+    either way (the flag merge is an optimisation, not a correctness
+    requirement), but because the merge changes float summation order,
+    flags-on output can differ from the in-memory solver in the last
+    bit and depends on ``shard_rows``.  Solvers without a row kernel
+    (Δ-stepping, Johnson) take this per-row path with flags off too.
+
+    Only the serial backend is meaningful here — the buffer is the
+    memory bound, and handing it to several workers would break it.
+    Yields ``(start, rows)`` with ``rows`` of shape ``(k, n)`` where the
+    last shard may be short.  The yielded array is reused between
+    shards: copy (or write out) before advancing the generator.
+    ``start_row``/``stop_row`` restrict the sweep to a sub-range of
+    shards (``start_row`` on a shard boundary) — how
+    :meth:`repro.serve.DistStore.repair` re-solves only damaged shards.
+    """
+    from ..exceptions import ConfigError
+    from ..types import INF
+
+    if not isinstance(shard_rows, int) or isinstance(shard_rows, bool) \
+            or shard_rows < 1:
+        raise ConfigError(
+            f"shard_rows must be an int >= 1, got {shard_rows!r}",
+            field="shard_rows",
+        )
+    n_total = graph.num_vertices
+    if stop_row is None:
+        stop_row = n_total
+    if not (0 <= start_row <= stop_row <= n_total):
+        raise ConfigError(
+            f"need 0 <= start_row <= stop_row <= n ({n_total}); got "
+            f"start_row={start_row!r}, stop_row={stop_row!r}",
+            field="start_row",
+        )
+    if start_row % shard_rows != 0:
+        raise ConfigError(
+            f"start_row must fall on a shard boundary (multiple of "
+            f"{shard_rows}), got {start_row}",
+            field="start_row",
+        )
+    cfg, spec, hooks = _store_solver(graph, config, kwargs)
+    n = graph.num_vertices
     shard_rows = min(shard_rows, max(1, n))
+    if hooks.solve_rows is None:
+        ordering_name = (
+            cfg.algorithm.ordering
+            if cfg.algorithm.ordering is not None
+            else spec.ordering
+        )
+        degrees = degree_array(graph, cfg.algorithm.degree_kind)
+        ordering_kwargs = {}
+        if ordering_name == "selection":
+            ordering_kwargs["ratio"] = cfg.algorithm.ratio
+            ordering_kwargs["fast"] = n > 4000
+        with _obs.span("apsp.ordering"):
+            order_result = compute_order(
+                ordering_name, degrees, num_threads=1,
+                backend=Backend.SERIAL, **ordering_kwargs,
+            )
+        # position[v] = issue rank of vertex v under the configured
+        # ordering
+        position = np.empty(n, dtype=np.int64)
+        position[order_result.order] = np.arange(n, dtype=np.int64)
     buffer = np.empty((shard_rows, n), dtype=np.float64)
     for start in range(start_row, stop_row, shard_rows):
         k = min(shard_rows, stop_row - start, n - start)
         block = buffer[:k]
-        block.fill(INF)
-        state = _ShardState(block, start, n)
-        sources = start + np.argsort(
-            position[start:start + k], kind="stable"
-        )
         with _obs.span("apsp.shard"):
-            for s in sources:
-                hooks.sweep_row(hooks.graph, int(s), state, cfg)
+            if hooks.solve_rows is not None:
+                block[...] = hooks.solve_rows(
+                    hooks.graph, np.arange(start, start + k)
+                )
+            else:
+                block.fill(INF)
+                state = _ShardState(block, start, n)
+                sources = start + np.argsort(
+                    position[start:start + k], kind="stable"
+                )
+                for s in sources:
+                    hooks.sweep_row(hooks.graph, int(s), state, cfg)
         if hooks.finalize is not None:
             hooks.finalize(start, block)
         _obs.counter_add("serve.store.shards_solved", 1)
         yield start, block
+
+
+def solve_apsp_rows(graph: CSRGraph, sources, *, config=None, **kwargs):
+    """The flags-off rows of ``sources``, as a ``(len(sources), n)`` array.
+
+    Each row is bitwise equal to the same row of a
+    :func:`solve_apsp_shards` stream with ``use_flags=False`` (forced
+    here): with flags off a row depends only on its source, not on the
+    shard around it.  This is how a store re-solves a few scattered
+    rows — its landmarks — without re-solving their whole shards.  The
+    sweep family runs one :func:`~repro.core.dijkstra.sssp_rows` call;
+    other solvers run their per-row hook source by source.
+    """
+    from ..types import INF
+
+    cfg, _, hooks = _store_solver(
+        graph, config, {**kwargs, "use_flags": False}
+    )
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if hooks.solve_rows is not None:
+        return hooks.solve_rows(hooks.graph, sources)
+    n = graph.num_vertices
+    out = np.full((sources.size, n), INF, dtype=np.float64)
+    for i, s in enumerate(sources.tolist()):
+        row = out[i:i + 1]
+        hooks.sweep_row(hooks.graph, s, _ShardState(row, s, n), cfg)
+        if hooks.finalize is not None:
+            hooks.finalize(s, row)
+    return out
 
 
 _register_sweep_family()

@@ -361,25 +361,12 @@ def _degree_order(graph, degree_kind: str) -> np.ndarray:
 
 def _write_landmarks(store: DistStore, graph, cfg) -> None:
     """(Re)build the pinned landmark rows from the graph."""
-    from ..core.runner import solve_apsp_shards
+    from ..core.runner import solve_apsp_rows
 
     ids = store.manifest["landmarks"]["ids"]
     if not ids:
         return
-    rows = np.empty((len(ids), store.n), dtype=np.float64)
-    for i, vertex in enumerate(ids):
-        start = (vertex // store.shard_rows) * store.shard_rows
-        stop = min(start + store.shard_rows, store.n)
-        gen = solve_apsp_shards(
-            graph,
-            shard_rows=store.shard_rows,
-            start_row=start,
-            stop_row=stop,
-            config=cfg,
-        )
-        _, block = next(gen)
-        gen.close()
-        rows[i] = block[vertex - start]
+    rows = solve_apsp_rows(graph, ids, config=cfg)
     raw = np.ascontiguousarray(rows).tobytes()
     # verify BEFORE writing: a wrong-graph repair must leave whatever
     # is on disk untouched instead of installing bytes it then rejects

@@ -166,13 +166,33 @@ def parse_edge_updates(text: str) -> List[EdgeUpdate]:
     return updates
 
 
+def _edge_table(graph) -> Tuple[np.ndarray, np.ndarray]:
+    """The undirected edges of a graph as sorted ``(keys, weights)``.
+
+    ``keys`` holds ``u * n + v`` for every edge ``u < v``, ascending and
+    unique; among duplicate arcs of one edge the last in CSR order wins.
+    """
+    n = max(graph.num_vertices, 1)
+    src = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr)
+    )
+    upper = src < graph.indices
+    keys = src[upper] * n + graph.indices[upper]
+    weights = graph.weights[upper]
+    order = np.argsort(keys, kind="stable")
+    keys, weights = keys[order], weights[order]
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return keys[last], weights[last]
+
+
 def _edge_weights(graph) -> Dict[Tuple[int, int], float]:
     """Canonical ``(min, max) -> weight`` map of an undirected graph."""
-    arcs = graph.arc_array()
-    mask = arcs[:, 0] < arcs[:, 1]
+    n = max(graph.num_vertices, 1)
+    keys, weights = _edge_table(graph)
     return {
-        (int(u), int(v)): float(w)
-        for (u, v), w in zip(arcs[mask], graph.weights[mask])
+        (k // n, k % n): w
+        for k, w in zip(keys.tolist(), weights.tolist())
     }
 
 
@@ -183,7 +203,15 @@ def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
     repeating an edge within one batch raises — a batch must be
     unambiguous about the graph it produces.
     """
-    from ..graphs.build import from_edges
+    return _mutate(graph, list(updates))[0]
+
+
+def _mutate(graph, updates: List[EdgeUpdate]):
+    """``(mutated graph, old weights)`` of a batch; see
+    :func:`apply_updates_to_graph`.  ``old weights`` holds each
+    update's pre-batch edge weight, ``None`` where the edge is absent.
+    """
+    from ..graphs.build import from_arc_arrays
 
     if graph.directed:
         raise StoreError(
@@ -191,7 +219,6 @@ def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
             "certificates and endpoint refinement rely on d(u,v) = "
             "d(v,u))"
         )
-    updates = list(updates)
     n = graph.num_vertices
     seen = set()
     for upd in updates:
@@ -210,23 +237,44 @@ def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
                 "one update batch"
             )
         seen.add(upd.key)
-    edges = _edge_weights(graph)
-    for upd in updates:
-        if upd.weight is None:
-            if upd.key not in edges:
-                raise StoreError(
-                    f"cannot delete absent edge ({upd.key[0]}, "
-                    f"{upd.key[1]})"
-                )
-            del edges[upd.key]
-        else:
-            edges[upd.key] = upd.weight
-    return from_edges(
-        ((u, v, w) for (u, v), w in sorted(edges.items())),
+    base = max(n, 1)
+    keys, weights = _edge_table(graph)
+    want = np.array(
+        [u * base + v for u, v in (upd.key for upd in updates)],
+        dtype=np.int64,
+    )
+    pos = np.searchsorted(keys, want)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == want[found]
+    old = [
+        float(weights[p]) if hit else None
+        for p, hit in zip(pos.tolist(), found.tolist())
+    ]
+    for upd, w_old in zip(updates, old):
+        if upd.weight is None and w_old is None:
+            raise StoreError(
+                f"cannot delete absent edge ({upd.key[0]}, {upd.key[1]})"
+            )
+    sets = np.array([upd.weight is not None for upd in updates], dtype=bool)
+    new_w = np.array(
+        [np.nan if upd.weight is None else upd.weight for upd in updates],
+        dtype=np.float64,
+    )
+    weights = weights.copy()
+    weights[pos[found & sets]] = new_w[found & sets]
+    keep = np.ones(keys.size, dtype=bool)
+    keep[pos[found & ~sets]] = False
+    keys = np.concatenate([keys[keep], want[~found]])
+    weights = np.concatenate([weights[keep], new_w[~found]])
+    mutated = from_arc_arrays(
+        keys // base,
+        keys % base,
+        weights,
         num_vertices=n,
         directed=False,
         name=graph.name,
     )
+    return mutated, old
 
 
 @dataclass(frozen=True)
@@ -234,11 +282,11 @@ class UpdateResult:
     """What one :func:`apply_edge_updates` call did, and what it cost.
 
     ``cost_rows`` is the deterministic row-unit cost of the update —
-    dirty rows re-solved, plus landmark rows re-solved outside dirty
-    shards, plus two SSSP runs per touched endpoint (old + new graph),
-    each counted as one row.  ``rebuild_rows`` is what a from-scratch
-    build pays (``n``); their ratio is the headline the update-smoke
-    bench gates below 0.5.
+    dirty rows re-solved, plus new landmark rows re-solved outside
+    dirty shards (one row each), plus two SSSP runs per touched
+    endpoint (old + new graph), each counted as one row.
+    ``rebuild_rows`` is what a from-scratch build pays (``n``); their
+    ratio is the headline the update-smoke bench gates below 0.5.
     """
 
     generation: int
@@ -289,7 +337,7 @@ class UpdateResult:
 # -- dirty-row analysis -------------------------------------------------
 
 
-def _classify(store_edges, updates):
+def _classify(updates, old_weights):
     """Split a batch into relax-tighter and relax-looser edge lists.
 
     Returns ``(decreases, increases, endpoints)`` where each entry is
@@ -297,13 +345,14 @@ def _classify(store_edges, updates):
     the *new* weight for an insert/decrease (can the new arc improve
     anything?), the *old* weight for a delete/increase (was the old arc
     on any shortest path?).  No-op reweights drop out entirely.
+    ``old_weights`` holds each update's pre-batch weight (``None`` for
+    an absent edge), as :func:`_mutate` returns them.
     """
     decreases: List[Tuple[int, int, float]] = []
     increases: List[Tuple[int, int, float]] = []
     endpoints: set = set()
-    for upd in updates:
+    for upd, w_old in zip(updates, old_weights):
         u, v = upd.key
-        w_old = store_edges.get(upd.key)
         w_new = upd.weight
         if w_new is None:
             increases.append((u, v, w_old))
@@ -405,24 +454,22 @@ def _exact_dirty_rows(
     Row ``s`` changes iff ``d(s, e)`` changes for some touched endpoint
     ``e`` (undirected): any altered shortest path crosses a touched
     endpoint, and conversely.  One Dijkstra per endpoint per graph pins
-    this down; the comparison is bitwise because the solver's float
+    this down (one :func:`~repro.core.dijkstra.sssp_rows` call per
+    graph); the comparison is bitwise because the solver's float
     fixpoint is canonical (min over paths of the running-sum float).
 
     When ``store`` is given, the old-graph run doubles as a wrong-graph
     guard: the endpoint's freshly solved row must agree with the row
     the store serves (within the codec's certified error).
     """
-    from ..core.dijkstra import dijkstra_sssp
+    from ..core.dijkstra import sssp_rows
 
-    n = graph_old.num_vertices
-    changed = np.zeros(n, dtype=bool)
-    for e in endpoints:
-        d_old, _ = dijkstra_sssp(graph_old, e)
-        if store is not None:
-            _check_row_matches_store(store, e, d_old)
-        d_new, _ = dijkstra_sssp(graph_new, e)
-        changed |= d_old != d_new
-    return changed
+    d_old = sssp_rows(graph_old, endpoints)
+    if store is not None:
+        for e, row in zip(endpoints, d_old):
+            _check_row_matches_store(store, e, row)
+    d_new = sssp_rows(graph_new, endpoints)
+    return np.any(d_old != d_new, axis=0)
 
 
 def _check_row_matches_store(store: DistStore, e: int, d_old: np.ndarray):
@@ -496,7 +543,7 @@ def apply_edge_updates(
             f"built for n={store.n}"
         )
     updates = list(updates)
-    new_graph = apply_updates_to_graph(graph, updates)  # validates batch
+    new_graph, old_weights = _mutate(graph, updates)  # validates batch
 
     if cfg_u.verify_before:
         # an update must never be layered on top of silent corruption:
@@ -510,8 +557,7 @@ def apply_edge_updates(
     shard_rows = store.shard_rows
     new_gen = store.generation + 1
 
-    store_edges = _edge_weights(graph)  # pre-update weights
-    decreases, increases, endpoints = _classify(store_edges, updates)
+    decreases, increases, endpoints = _classify(updates, old_weights)
 
     # -- 1. landmark prescreen (certified clean rows) -------------------
     old_lm_rows = store.landmark_rows() if store.landmark_ids else None
@@ -567,7 +613,7 @@ def apply_edge_updates(
     )
 
     # -- 5. copy-on-write re-solve of dirty shards ----------------------
-    from ..core.runner import solve_apsp_shards
+    from ..core.runner import solve_apsp_rows, solve_apsp_shards
 
     lm_pos = {v: i for i, v in enumerate(new_ids)}
     new_lm_rows = (
@@ -579,24 +625,19 @@ def apply_edge_updates(
     written: List[Path] = []
     pending: List[Tuple[Path, int, int]] = []  # (path, crc, nbytes)
 
-    def solve_shard(index: int) -> np.ndarray:
-        start, rows = store.shard_span(index)
-        gen = solve_apsp_shards(
-            new_graph,
-            shard_rows=shard_rows,
-            start_row=start,
-            stop_row=start + rows,
-            config=cfg,
-        )
-        _, block = next(gen)
-        gen.close()
-        return block
-
     try:
         with _obs.span("serve.store.update"):
             for index in dirty_shards:
                 start, rows = store.shard_span(index)
-                block = solve_shard(index)
+                gen = solve_apsp_shards(
+                    new_graph,
+                    shard_rows=shard_rows,
+                    start_row=start,
+                    stop_row=start + rows,
+                    config=cfg,
+                )
+                _, block = next(gen)
+                gen.close()
                 rows_resolved += rows
                 if new_lm_rows is not None:
                     for v in range(start, start + rows):
@@ -620,25 +661,22 @@ def apply_edge_updates(
 
             # landmark rows living in clean shards: reuse the exact old
             # pinned row when the landmark survived, otherwise re-solve
-            # that one shard (counted separately in the cost)
+            # just that row (counted separately in the cost)
             landmark_rows_resolved = 0
             if new_lm_rows is not None:
                 old_pos = {v: i for i, v in enumerate(old_ids)}
-                need_shard: Dict[int, List[int]] = {}
+                need: List[int] = []
                 for v in new_ids:
-                    shard = v // shard_rows
-                    if shard in dirty_set:
+                    if v // shard_rows in dirty_set:
                         continue  # captured in the loop above
                     if v in old_pos:
                         new_lm_rows[lm_pos[v]] = old_lm_rows[old_pos[v]]
                     else:
-                        need_shard.setdefault(shard, []).append(v)
-                for shard, vertices in sorted(need_shard.items()):
-                    start, rows = store.shard_span(shard)
-                    block = solve_shard(shard)
-                    landmark_rows_resolved += rows
-                    for v in vertices:
-                        new_lm_rows[lm_pos[v]] = block[v - start]
+                        need.append(v)
+                if need:
+                    new_lm_rows[[lm_pos[v] for v in need]] = \
+                        solve_apsp_rows(new_graph, need, config=cfg)
+                    landmark_rows_resolved = len(need)
                 lm_raw = np.ascontiguousarray(new_lm_rows).tobytes()
                 lm_fname = _update_landmark_file(new_gen)
                 lm_fpath = store.path / lm_fname

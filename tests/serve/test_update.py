@@ -145,8 +145,122 @@ class TestGraphMutation:
         with pytest.raises(StoreError, match="undirected"):
             apply_updates_to_graph(directed, [EdgeUpdate(0, 2, 1.0)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_dict_based_construction(self, data):
+        """The numpy mutation builds the very CSR arrays the per-edge
+        dict did, on hand-built graphs with duplicate arcs too."""
+        from repro.graphs import CSRGraph
+
+        n = data.draw(st.integers(min_value=2, max_value=10))
+        weight = st.floats(min_value=0.05, max_value=40.0)
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1), weight
+                ),
+                max_size=3 * n,
+            )
+        )
+        arcs.sort(key=lambda arc: arc[0])  # rows in order, arcs unsorted
+        graph = CSRGraph(
+            np.concatenate(
+                [[0], np.cumsum(np.bincount(
+                    np.array([a[0] for a in arcs], dtype=np.int64),
+                    minlength=n,
+                ))]
+            ),
+            np.array([a[1] for a in arcs], dtype=np.int64),
+            np.array([a[2] for a in arcs], dtype=np.float64),
+            name="hand-built",
+        )
+        batch = []
+        for u, v in data.draw(
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] != e[1])
+                .map(lambda e: (min(e), max(e))),
+                max_size=4,
+            )
+        ):
+            batch.append(EdgeUpdate(
+                u, v, data.draw(st.one_of(st.none(), weight))
+            ))
+        try:
+            want = _dict_apply(graph, batch)
+        except StoreError as exc:
+            with pytest.raises(StoreError, match="absent") as got:
+                apply_updates_to_graph(graph, batch)
+            assert str(got.value) == str(exc)
+            return
+        got = apply_updates_to_graph(graph, batch)
+        for name in ("indptr", "indices", "weights"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
+        assert got.name == want.name and not got.directed
+
+
+def _dict_apply(graph, updates):
+    """Reference mutation: the per-edge dict construction."""
+    from repro.graphs import from_edges
+
+    arcs = graph.arc_array()
+    mask = arcs[:, 0] < arcs[:, 1]
+    edges = {
+        (int(u), int(v)): float(w)
+        for (u, v), w in zip(arcs[mask], graph.weights[mask])
+    }
+    for upd in updates:
+        if upd.weight is None:
+            if upd.key not in edges:
+                raise StoreError(
+                    f"cannot delete absent edge ({upd.key[0]}, "
+                    f"{upd.key[1]})"
+                )
+            del edges[upd.key]
+        else:
+            edges[upd.key] = upd.weight
+    return from_edges(
+        ((u, v, w) for (u, v), w in sorted(edges.items())),
+        num_vertices=graph.num_vertices,
+        directed=False,
+        name=graph.name,
+    )
+
 
 class TestGenerations:
+    @pytest.mark.parametrize(
+        "algorithm", ["parapsp", "delta-stepping", "johnson"]
+    )
+    def test_new_landmark_in_clean_shard_resolves_one_row(
+        self, small_weighted, tmp_path, algorithm
+    ):
+        graph = small_weighted
+        store = solve_to_store(
+            graph, tmp_path / "store", shard_rows=16, num_landmarks=4,
+            algorithm=algorithm,
+        )
+        edges = _edge_weights(graph)
+        # heavy spokes make vertex 97 a top-degree landmark without
+        # shortening any path, so no shard is dirty
+        hub = 97
+        batch = [
+            EdgeUpdate(hub, u, 40.0)
+            for u in range(60)
+            if (min(u, hub), max(u, hub)) not in edges
+        ][:30]
+        result = apply_edge_updates(store, graph, batch)
+        assert result.store.landmark_ids[0] == hub
+        assert hub not in store.landmark_ids
+        assert result.dirty_shards == ()
+        assert result.landmarks_rebuilt
+        assert result.landmark_rows_resolved == 1
+        fresh = solve_to_store(
+            apply_updates_to_graph(graph, batch), tmp_path / "fresh",
+            shard_rows=16, num_landmarks=4, algorithm=algorithm,
+        )
+        assert _crcs(result.store) == _crcs(fresh)
+
     def test_update_is_byte_identical_to_fresh_build(self, built, tmp_path):
         store, graph = built
         edges = _edge_weights(graph)
