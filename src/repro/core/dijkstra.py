@@ -74,9 +74,10 @@ def sssp_rows(graph: CSRGraph, sources) -> np.ndarray:
     minimum over paths of the running sum.  The arrays are handed over
     as they are, so duplicate arcs stay parallel arcs (the lighter one
     wins) instead of being summed, and explicit zero weights stay arcs.
-    (The interpreted sweep keeps the *last* copy of a duplicate arc, so
-    the two agree on duplicates only where the last copy is lightest;
-    graphs built by :mod:`repro.graphs.build` have none.)
+    The row parity assumes duplicate-free rows, the precondition of
+    :func:`~repro.core.kernels.relax_edges`: on a duplicate arc the
+    interpreted sweep keeps the *last* copy, so the two agree only
+    where the last copy is lightest.  ``CSRGraph`` does not enforce it.
 
     Counts ``sssp.rows`` (one per source) when metrics are on.
     """

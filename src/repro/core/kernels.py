@@ -96,9 +96,13 @@ def relax_edges(
 
     Returns ``(improved_targets, improved_count)`` where
     ``improved_targets`` are the neighbour ids whose distance got
-    smaller (the Enqueue set of Algorithm 1 line 16).  Rows of a
-    :class:`~repro.graphs.csr.CSRGraph` are duplicate-free, so the
-    scatter-assign below has no write conflicts.
+    smaller (the Enqueue set of Algorithm 1 line 16).
+
+    Precondition: ``neighbors`` is duplicate-free.  ``CSRGraph`` does
+    not check this; the builders in :mod:`repro.graphs.build` dedup and
+    :func:`~repro.graphs.io.load_graph_npz` rejects duplicate arcs.  On
+    a duplicate the scatter-assign below keeps the *last* copy, even
+    when it is the heavier one.
     """
     reg = _obs._current
     if neighbors.size == 0:
@@ -257,9 +261,9 @@ class BlockedKernel(BlockKernel):
         mask = cand < cur
         imp = np.flatnonzero(mask)
         if imp.size:
-            # rows are duplicate-free and each CSR row is
-            # duplicate-free, so every (row, nbr) pair is unique and
-            # the scatter-assign has no write conflicts
+            # rows are duplicate-free and (precondition, as for
+            # relax_edges) so is each CSR row, so every (row, nbr)
+            # pair is unique and the scatter-assign has no conflicts
             dist[rowrep[imp], nbrs[imp]] = cand[imp]
         imp_nbrs = nbrs[imp]
         # manual slicing instead of np.split: the per-chunk dispatch of

@@ -176,10 +176,15 @@ def save_graph_npz(graph: CSRGraph, target: Union[str, os.PathLike]) -> None:
 
 
 def load_graph_npz(source: Union[str, os.PathLike]) -> CSRGraph:
-    """Load a graph saved by :func:`save_graph_npz`."""
+    """Load a graph saved by :func:`save_graph_npz`.
+
+    Raises :class:`GraphFormatError` on a row that holds the same arc
+    twice: the sweep kernels require duplicate-free rows, and the
+    builders in :mod:`repro.graphs.build` are the only place that dedups.
+    """
     with np.load(os.fspath(source), allow_pickle=False) as data:
         try:
-            return CSRGraph(
+            graph = CSRGraph(
                 data["indptr"],
                 data["indices"],
                 data["weights"],
@@ -190,3 +195,16 @@ def load_graph_npz(source: Union[str, os.PathLike]) -> CSRGraph:
             raise GraphFormatError(
                 f"{source}: not a repro graph archive (missing {exc})"
             ) from exc
+    rows = np.repeat(
+        np.arange(graph.num_vertices, dtype=VERTEX_DTYPE),
+        np.diff(graph.indptr),
+    )
+    order = np.lexsort((graph.indices, rows))
+    rows, cols = rows[order], graph.indices[order]
+    dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if dup.size:
+        raise GraphFormatError(
+            f"{source}: duplicate arc {rows[dup[0]]}->{cols[dup[0]]} "
+            f"({dup.size} duplicate(s)); rows must be duplicate-free"
+        )
+    return graph

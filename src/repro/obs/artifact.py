@@ -17,45 +17,17 @@ section     contents                                           compared
 ``timings`` ``virtual.*`` (deterministic) / ``wall.*``         tolerance
 ``gauges``  occupancy peaks, contention, utilization           reported
 ``spans``   hierarchical timer records                         never
-``trace_summary`` flat critical-path / contention attribution  tolerance
 =========== ================================================= ==========
 
-``trace_summary`` (schema ``/2``, optional) is the flat numeric dict
-produced by :meth:`repro.trace.TraceReport.summary` — makespan
-attribution fractions, critical-path composition and lock-hotspot
-totals.  :mod:`repro.obs.regress` gates its contention/idle fractions
-with an absolute tolerance (``--trace-atol``).
-
-``faults`` (schema ``/3``, optional) is a flat numeric dict describing
-a deterministic fault-injection run (:mod:`repro.faults`): injected
-event counts (exact-gated) plus ``faults.virtual.*`` recovery timings
-(gated upward with the timing ``--rtol``).
-
-``serve`` (schema ``/4``, optional) is a flat numeric dict from the
-query-serving traffic bench (:mod:`repro.serve.bench`): shard-load /
-batching event counts (exact-gated), cache hit rates (gated *downward*
-with ``--serve-atol`` — a hit-rate drop is the regression) and virtual
-latency percentiles (gated upward with the timing ``--rtol``).
-
-``serve_latency_hist`` (schema ``/6``, optional) is the flat dump of
-the virtual replay's :class:`~repro.obs.hist.LatencyHistogram` —
-per-bucket counts plus certified-error quantiles.  The virtual replay
-is deterministic, so **every** key gates exactly: a single bucket
-moving means the replay's latency distribution changed.
-
-``serve_slo`` (schema ``/6``, optional) is the flat
-:class:`~repro.serve.slo.SLOReport`: objective parameters and
-violation counts gate exactly; keys ending in ``burn_rate`` gate
-*upward-only* — burning the error budget faster is the regression,
-burning it slower is an improvement.
-
-``update`` (schema ``/7``, optional) is a flat numeric dict from the
-incremental-update bench (:func:`repro.serve.bench.run_update_smoke`):
-dirty/candidate shard counts, re-solved row totals, store fingerprints
-and the update-vs-rebuild cost ratio.  Every field is deterministic
-and gates exactly; ``update.cost_ratio`` additionally gates
-upward-only (a less incremental update is the regression even when the
-baseline is regenerated with ``--ignore``).
+The optional flat numeric sections come from the benches:
+``trace_summary`` (``/2``, :meth:`repro.trace.TraceReport.summary`),
+``faults`` (``/3``, a seeded :mod:`repro.faults` run), ``serve``
+(``/4``, :mod:`repro.serve.bench`), ``serve_latency_hist`` and
+``serve_slo`` (``/6``, the virtual replay's histogram and SLO report),
+``update`` (``/7``, :func:`repro.serve.bench.run_update_smoke`) and
+``dist`` (``/8``, the multi-node bench).  How each key of these and of
+``counters``/``timings`` gates is the
+:data:`~repro.obs.regress.SECTIONS` table.
 """
 
 from __future__ import annotations

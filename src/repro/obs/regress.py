@@ -1,75 +1,30 @@
 """Artifact comparator: the CI perf gate.
 
 ``python -m repro.obs.regress baseline.json current.json`` diffs two
-``BENCH_*.json`` artifacts and exits non-zero on a regression:
+``BENCH_*.json`` artifacts and exits non-zero on a regression.
 
-* **params**  — workload identity must match exactly; artifacts from
-  different solvers/configs are *incomparable*, so any identity mismatch
-  fails with a single clear message (per-key detail in the notes) and
-  skips the counter/timing diffs that could never agree anyway;
-* **counters** — operation counts are machine-independent and must match
-  *exactly*; more merges/relaxations than the baseline means the
-  algorithm got algorithmically worse, fewer means the baseline is stale
-  (both fail, so baselines stay honest);
-* **timings** — ``virtual.*`` entries (deterministic simulator time) may
-  only exceed the baseline by ``--rtol`` (default 10%); ``wall.*``
-  entries are host-dependent noise and are ignored unless
-  ``--include-wall`` is given;
-* **trace_summary** — contention / idle / overhead *fractions* from the
-  unified trace analyzer may only exceed the baseline by ``--trace-atol``
-  (absolute, default 0.02 — fractions live in [0, 1] so a relative
-  tolerance would be meaningless near zero); the remaining keys
-  (makespans, critical-path composition, hotspot totals) are reported
-  as notes;
-* **faults** — the deterministic fault-injection section (schema
-  ``/3``): injected event counts are exact (the plan is seeded, so a
-  changed death/requeue count means the recovery machinery changed
-  behaviour); ``faults.virtual.*`` recovery timings may only exceed the
-  baseline by ``--rtol``, like ``virtual.*`` timings;
-* **serve** — the query-serving traffic bench section (schema ``/5``):
-  event counts (shard loads, coalesced requests, batches, degraded /
-  shed requests — the replay is a seeded trace through a deterministic
-  virtual-time model) are exact; ``*_hit_rate`` and ``*_speedup`` keys
-  gate *downward* with ``--serve-atol`` (a drop in cache hit rate or in
-  the optimised-vs-naive speedup is the regression; higher is better);
-  ``*_ms`` virtual-latency keys gate upward with ``--rtol`` like
-  ``virtual.*`` timings; ``*store_bytes`` / ``*bytes_loaded`` byte
-  totals gate upward with ``--rtol`` (a fatter store or more bytes
-  moved per replay is the regression); ``*max_abs_error`` certified /
-  observed error bounds gate *exactly* — a silently raised bound is a
-  correctness regression, not a perf tradeoff;
-* **serve_latency_hist** — the virtual replay's streaming latency
-  histogram (schema ``/6``): **every** key gates exactly.  The replay
-  is deterministic, so each log-bucket count is as reproducible as an
-  op counter — one bucket moving means the latency distribution
-  changed, which either is a deliberate perf change (regenerate the
-  baseline) or a bug;
-* **serve_slo** — the SLO report (schema ``/6``): keys ending
-  ``burn_rate`` gate *upward-only with no tolerance* (a deterministic
-  replay burning its error budget faster is a regression; burning
-  slower is an improvement and only noted); every other key — the
-  objective's own parameters and the violation counts — gates exactly;
-* **dist** — the multi-node bench section (schema ``/8``): the routed
-  answer fingerprint and every failover / node-loss / recovery event
-  count gate *exactly* (the cluster replay is seeded and virtual-timed,
-  so a changed failover count means the routing machinery changed
-  behaviour); ``*_ms`` routed-serving percentiles and the
-  ``network_bytes`` / makespan volume keys gate *upward* with
-  ``--rtol`` — more bytes over the simulated network or a slower hot
-  shard after rebalancing is the regression the section exists to
-  catch;
-* **update** — the incremental-update bench section (schema ``/7``):
-  everything in it is a pure function of the pinned graph and update
-  batch (dirty-shard counts, re-solved rows, store fingerprints), so
-  every key gates exactly; ``update.cost_ratio`` is additionally
-  flagged when it merely *rises* — a less incremental update is the
-  regression the section exists to catch;
-* **kernel consistency** — artifacts that carry ``kernel.*`` counters
-  must satisfy the cross-layer invariants tying kernel-call accounting
-  to the per-source ``ops.*`` totals (see
-  :func:`check_kernel_consistency`), so a kernel refactor cannot
-  silently desync the cost model;
-* **env / gauges / spans** — reported, never gated.
+Workload identity (``params``) must match exactly: artifacts from
+different solvers or configs are *incomparable*, so any mismatch fails
+with one message and skips every other section.  The other sections
+are gated key by key by :data:`SECTIONS`, where the first rule whose
+glob matches a key picks its gate:
+
+* ``exact`` — any change fails, in either direction (op counts, seeded
+  replay event counts, fingerprints, certified error bounds: fewer
+  means a stale baseline, more a regression);
+* ``up`` — may exceed the baseline by ``--rtol`` (virtual time, bytes);
+* ``up0`` — any rise fails, a drop is an improvement (burn rates);
+* ``up_abs`` / ``down_abs`` — may move the wrong way by :data:`ATOL`
+  (fractions in [0, 1], where a relative tolerance is meaningless);
+* ``wall`` — host wall-clock, gated like ``up`` with ``--include-wall``;
+* ``note`` — reported, never gated.
+
+A key missing from the current artifact fails unless its gate is
+``note``; a key new in it is a note unless its section says new keys
+fail.  A section in the baseline but not in the current artifact
+fails.  ``--ignore KEY`` demotes a key to a note.  Artifacts with
+``kernel.*`` counters must also pass :func:`check_kernel_consistency`.
+``env``, ``gauges`` and ``spans`` are reported, never gated.
 
 Exit codes: 0 = no regression, 1 = regression, 2 = bad input.
 """
@@ -78,59 +33,75 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from fnmatch import fnmatchcase
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .artifact import load_artifact, validate_artifact
 
 __all__ = ["check_kernel_consistency", "compare_artifacts", "main"]
 
-#: timing keys with this prefix are host wall-clock and off by default
-WALL_PREFIX = "wall."
+#: tolerance of the ``up_abs`` / ``down_abs`` gates on [0, 1] fractions
+ATOL = 0.02
 
-#: trace_summary keys with these suffixes are gated (absolute, upward):
-#: more lock-wait, more scheduler idle or more overhead is a regression
-TRACE_GATED_SUFFIXES = (
-    "lock_wait_fraction",
-    "idle_fraction",
-    "overhead_fraction",
-)
+#: ``(key globs, gate, why)``; ``why`` ends the message of a failure
+Rule = Tuple[Tuple[str, ...], str, str]
 
-#: faults keys with this prefix are virtual recovery timings (rtol,
-#: upward); every other faults key is an exact-gated event count
-FAULT_TIMING_PREFIX = "faults.virtual."
-
-#: serve keys with these suffixes gate downward (higher is better,
-#: a drop past ``--serve-atol`` is the regression)
-SERVE_DOWNWARD_SUFFIXES = ("hit_rate", "speedup")
-
-#: serve keys with this suffix are virtual latencies (rtol, upward);
-#: remaining serve keys are exact-gated replay event counts
-SERVE_LATENCY_SUFFIX = "_ms"
-
-#: serve byte totals (store size, bytes moved per replay) gate upward
-#: with ``--rtol`` — a fatter store or more bytes loaded undoes the
-#: codec's whole point
-SERVE_BYTES_SUFFIXES = ("store_bytes", "bytes_loaded")
-
-#: serve certified/observed error bounds gate *exactly*: the bound is
-#: part of the answer contract, so a silently raised bound is a
-#: correctness regression, not a perf tradeoff
-SERVE_ERROR_SUFFIX = "max_abs_error"
-
-#: serve_slo keys with this suffix gate upward-only with no tolerance
-#: (virtual replay burn rates are deterministic); all other serve_slo
-#: keys and every serve_latency_hist key gate exactly
-SLO_BURN_SUFFIX = "burn_rate"
-
-#: dist keys with these suffixes gate upward with ``--rtol``: routed
-#: percentile latencies, simulated network volume and cluster-build
-#: makespans are virtual-time magnitudes, not event counts
-DIST_UPWARD_SUFFIXES = ("_ms", "network_bytes", "makespan", "_us")
-
-#: the update section's headline ratio: exact-gated like the rest of
-#: the section, but its failure message calls out the direction — a
-#: higher ratio means updates got *less* incremental
-UPDATE_COST_KEY = "update.cost_ratio"
+#: section -> (label, message when it is missing from the current
+#: artifact, new keys fail, rules); the first rule matching a key wins.
+#: ``counters`` and ``timings`` are required, so never missing
+SECTIONS: Dict[str, Tuple[str, str, bool, Tuple[Rule, ...]]] = {
+    "counters": ("counter", "", False, (
+        (("*",), "exact", "op counts must match the baseline exactly"),
+    )),
+    "timings": ("timing", "", False, (
+        (("wall.*",), "wall", ""),
+        (("*",), "up", ""),
+    )),
+    "trace_summary": ("trace", "trace_summary present in baseline but missing "
+                      "from current artifact (tracing disabled?)", False, (
+        (("*lock_wait_fraction", "*idle_fraction", "*overhead_fraction"),
+         "up_abs", ""),
+        (("*",), "note", ""),
+    )),
+    "faults": ("fault", "faults section present in baseline but missing from "
+               "current artifact (fault-injection run skipped?)", False, (
+        (("faults.virtual.*",), "up", ""),
+        (("*",), "exact", "injected-fault event counts must match exactly"),
+    )),
+    "serve": ("serve", "serve section present in baseline but missing from "
+              "current artifact (serve bench skipped?)", False, (
+        (("*max_abs_error",), "exact", "error bounds are an answer contract"),
+        (("*store_bytes", "*bytes_loaded"), "up", "byte totals gate upward"),
+        (("*hit_rate", "*speedup"), "down_abs", ""),
+        (("*_ms",), "up", ""),
+        (("*",), "exact", "replay event counts must match exactly"),
+    )),
+    "serve_latency_hist": ("hist", "serve_latency_hist present in baseline but "
+                           "missing from current artifact (telemetry "
+                           "disabled in the bench?)", True, (
+        (("*",), "exact", "the virtual-replay latency distribution changed"),
+    )),
+    "serve_slo": ("slo", "serve_slo present in baseline but missing from "
+                  "current artifact (SLO evaluation skipped in the bench?)",
+                  False, (
+        (("*burn_rate",), "up0", "the same traffic burns its budget faster"),
+        (("*",), "exact", "SLO parameters and violation counts gate exactly"),
+    )),
+    "update": ("update", "update section present in baseline but missing from "
+               "current artifact (update bench skipped?)", False, (
+        (("update.cost_ratio",), "exact",
+         "a rise means more rebuild-shaped work per batch"),
+        (("*",), "exact", "the update bench is deterministic"),
+    )),
+    "dist": ("dist", "dist section present in baseline but missing from "
+             "current artifact (dist bench skipped?)", False, (
+        (("*fingerprint",), "exact",
+         "routed answers must match the single-node store bitwise"),
+        (("*_ms", "*network_bytes", "*makespan", "*_us"), "up",
+         "network volume and routed latencies gate upward"),
+        (("*",), "exact", "failover/loss/rebalance event counts gate exactly"),
+    )),
+}
 
 
 def check_kernel_consistency(
@@ -221,13 +192,11 @@ def compare_artifacts(
     rtol: float = 0.10,
     include_wall: bool = False,
     ignore: Sequence[str] = (),
-    trace_atol: float = 0.02,
-    serve_atol: float = 0.02,
 ) -> Tuple[List[str], List[str]]:
     """Compare two artifacts; returns ``(regressions, notes)``.
 
-    ``ignore`` lists counter/timing/param keys excluded from gating
-    (still mentioned in the notes so nothing silently disappears).
+    ``ignore`` lists keys excluded from gating in any section (still
+    mentioned in the notes so nothing silently disappears).
     """
     regressions: List[str] = []
     notes: List[str] = []
@@ -265,77 +234,17 @@ def compare_artifacts(
             "artifacts are not comparable"
         )
         return regressions, notes
-    _compare_counters(
-        baseline["counters"], current["counters"], ignored, regressions, notes
-    )
+    for section in SECTIONS:
+        for failed, message in _compare_section(
+            section, baseline.get(section), current.get(section),
+            rtol, include_wall, ignored,
+        ):
+            (regressions if failed else notes).append(message)
     for art, label in ((baseline, "baseline"), (current, "current")):
         regressions.extend(
             f"{label}: {problem}"
             for problem in check_kernel_consistency(art["counters"])
         )
-    _compare_timings(
-        baseline["timings"],
-        current["timings"],
-        rtol,
-        include_wall,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_trace_summary(
-        baseline.get("trace_summary"),
-        current.get("trace_summary"),
-        trace_atol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_faults(
-        baseline.get("faults"),
-        current.get("faults"),
-        rtol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve(
-        baseline.get("serve"),
-        current.get("serve"),
-        rtol,
-        serve_atol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve_hist(
-        baseline.get("serve_latency_hist"),
-        current.get("serve_latency_hist"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve_slo(
-        baseline.get("serve_slo"),
-        current.get("serve_slo"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_update(
-        baseline.get("update"),
-        current.get("update"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_dist(
-        baseline.get("dist"),
-        current.get("dist"),
-        rtol,
-        ignored,
-        regressions,
-        notes,
-    )
 
     for name, value in sorted(current.get("gauges", {}).items()):
         base = baseline.get("gauges", {}).get(name)
@@ -375,534 +284,79 @@ def _compare_params(
     return mismatched
 
 
-def _compare_counters(
-    base: Mapping[str, float],
-    cur: Mapping[str, float],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"counter {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"counter {key} missing from current artifact")
-            continue
-        if base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"counter {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "op counts must match the baseline exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"counter {key} new in current: {cur[key]:g}")
+def _rule(rules: Sequence[Rule], key: str) -> Tuple[str, str]:
+    """``(gate, why)`` of the first rule with a glob matching ``key``."""
+    return next(
+        (gate, why)
+        for globs, gate, why in rules
+        if any(fnmatchcase(key, glob) for glob in globs)
+    )
 
 
-def _compare_timings(
-    base: Mapping[str, float],
-    cur: Mapping[str, float],
+def _failure(gate: str, base: float, cur: float, rtol: float) -> Optional[str]:
+    """Why ``base -> cur`` fails ``gate`` ("" needs no detail), or None."""
+    if gate == "exact" and cur != base:
+        return ""
+    if gate == "up0" and cur > base:
+        return "upward-only, no tolerance"
+    if gate == "up" and cur > base * (1.0 + rtol):
+        pct = (cur - base) / base * 100.0 if base else float("inf")
+        return f"+{pct:.1f}%, tolerance {rtol:.0%}"
+    if gate == "up_abs" and cur > base + ATOL:
+        return f"+{cur - base:.4f}, tolerance {ATOL:g} absolute"
+    if gate == "down_abs" and cur < base - ATOL:
+        return f"-{base - cur:.4f}, tolerance {ATOL:g} absolute"
+    return None
+
+
+def _compare_section(
+    section: str,
+    base: Optional[Mapping[str, float]],
+    cur: Optional[Mapping[str, float]],
     rtol: float,
     include_wall: bool,
     ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
+) -> Iterator[Tuple[bool, str]]:
+    """Gate one section by its :data:`SECTIONS` rules.
+
+    Yields ``(failed, message)``: a regression when ``failed``, else a
+    note.
+    """
+    label, missing, new_keys_fail, rules = SECTIONS[section]
+    if base is None:
+        if cur:
+            yield False, f"{section} new in current (no baseline to gate against)"
+        return
+    if cur is None:
+        yield True, missing
+        return
     for key in sorted(base):
-        is_wall = key.startswith(WALL_PREFIX)
-        if key in ignored or (is_wall and not include_wall):
-            if key in cur:
-                notes.append(
-                    f"timing {key}: {base[key]:g} -> {cur[key]:g} (not gated)"
-                )
+        if key in ignored:
+            yield False, f"{label} {key}: ignored"
             continue
+        gate, why = _rule(rules, key)
+        if gate == "wall":
+            gate = "up" if include_wall else "note"
         if key not in cur:
-            regressions.append(f"timing {key} missing from current artifact")
+            if gate != "note":
+                yield True, f"{label} {key} missing from current artifact"
             continue
-        limit = base[key] * (1.0 + rtol)
-        if cur[key] > limit:
-            pct = (
-                (cur[key] - base[key]) / base[key] * 100.0
-                if base[key]
-                else float("inf")
-            )
-            regressions.append(
-                f"timing {key}: {base[key]:g} -> {cur[key]:g} "
-                f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-            )
+        change = f"{label} {key}: {base[key]:g} -> {cur[key]:g}"
+        detail = _failure(gate, base[key], cur[key], rtol)
+        if detail is not None:
+            direction = "up" if cur[key] > base[key] else "down"
+            reason = "; ".join(p for p in (direction, detail, why) if p)
+            yield True, f"{change} ({reason})"
+        elif gate == "note":
+            yield False, f"{change} (not gated)"
+        elif gate != "exact":
+            yield False, f"{change} (ok)"
+    for key in sorted(set(cur) - set(base)):
+        new = f"{label} {key} new in current: {cur[key]:g}"
+        if new_keys_fail and key not in ignored:
+            yield True, f"{new} ({_rule(rules, key)[1]})"
         else:
-            notes.append(f"timing {key}: {base[key]:g} -> {cur[key]:g} (ok)")
-
-
-def _compare_trace_summary(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    atol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the unified-trace attribution fractions.
-
-    Only the *fraction* families in :data:`TRACE_GATED_SUFFIXES` gate,
-    and only upward (contention/idle/overhead growing past the baseline
-    by more than ``atol``); a drop is an improvement and is noted.
-    Absolute makespans and critical-path lengths shift with workload
-    knobs and are note-only, like ``wall.*`` timings.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "trace_summary new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "trace_summary present in baseline but missing from current "
-            "artifact (tracing disabled?)"
-        )
-        return
-    for key in sorted(base):
-        gated = key.endswith(TRACE_GATED_SUFFIXES)
-        if key in ignored or not gated:
-            if key in ignored:
-                notes.append(f"trace {key}: ignored")
-            elif key in cur:
-                notes.append(
-                    f"trace {key}: {base[key]:g} -> {cur[key]:g} (not gated)"
-                )
-            continue
-        if key not in cur:
-            regressions.append(
-                f"trace {key} missing from current artifact"
-            )
-            continue
-        if cur[key] > base[key] + atol:
-            regressions.append(
-                f"trace {key}: {base[key]:.4f} -> {cur[key]:.4f} "
-                f"(+{cur[key] - base[key]:.4f}, tolerance {atol:g} absolute)"
-            )
-        else:
-            notes.append(
-                f"trace {key}: {base[key]:.4f} -> {cur[key]:.4f} (ok)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"trace {key} new in current: {cur[key]:g}")
-
-
-def _compare_faults(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the fault-injection section.
-
-    The fault plan behind this section is seeded and counted in
-    claims/iterations, so its event counts (deaths, stalls, requeued
-    iterations, recovered indices) are as deterministic as ``ops.*``
-    and gate exactly.  ``faults.virtual.*`` entries are virtual-time
-    recovery makespans and gate upward with the timing ``rtol`` — a
-    faulted run that got *slower* to recover is a regression, a faster
-    one is an improvement.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "faults section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "faults section present in baseline but missing from current "
-            "artifact (fault-injection run skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"fault {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"fault {key} missing from current artifact")
-            continue
-        if key.startswith(FAULT_TIMING_PREFIX):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"fault {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-                )
-            else:
-                notes.append(
-                    f"fault {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"fault {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "injected-fault event counts must match exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"fault {key} new in current: {cur[key]:g}")
-
-
-def _compare_serve(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    atol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the query-serving bench section.
-
-    The traffic trace is seeded and replayed through a deterministic
-    virtual-time model, so its event counts (shard loads, coalesced
-    requests, batches, degraded/shed totals) gate exactly, like
-    ``ops.*``.  Quality ratios in :data:`SERVE_DOWNWARD_SUFFIXES` gate
-    *downward* with ``atol`` — a falling cache hit rate or a shrinking
-    optimised-vs-naive speedup is the regression, a rise is an
-    improvement.  ``*_ms`` virtual latencies gate upward with ``rtol``,
-    as do the :data:`SERVE_BYTES_SUFFIXES` byte totals (store size,
-    bytes moved per replay); :data:`SERVE_ERROR_SUFFIX` bounds gate
-    exactly (the certified error is part of the answer contract).
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "serve section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "serve section present in baseline but missing from current "
-            "artifact (serve bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"serve {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"serve {key} missing from current artifact")
-            continue
-        if key.endswith(SERVE_ERROR_SUFFIX):
-            if base[key] != cur[key]:
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (error "
-                    "bounds are part of the answer contract and gate "
-                    "exactly; a silently raised bound is a correctness "
-                    "regression)"
-                )
-            else:
-                notes.append(f"serve {key}: {cur[key]:g} (exact, ok)")
-        elif key.endswith(SERVE_BYTES_SUFFIXES):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%}; byte totals "
-                    "gate upward)"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif key.endswith(SERVE_DOWNWARD_SUFFIXES):
-            if cur[key] < base[key] - atol:
-                regressions.append(
-                    f"serve {key}: {base[key]:.4f} -> {cur[key]:.4f} "
-                    f"(-{base[key] - cur[key]:.4f}, tolerance {atol:g} "
-                    "absolute, downward)"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:.4f} -> {cur[key]:.4f} (ok)"
-                )
-        elif key.endswith(SERVE_LATENCY_SUFFIX):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"serve {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "replay event counts must match exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"serve {key} new in current: {cur[key]:g}")
-
-
-def _compare_serve_hist(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the virtual-replay latency histogram — everything exact.
-
-    The histogram is recorded from a seeded trace through the
-    deterministic virtual-time replay, so every bucket count (and the
-    derived quantile keys, which are pure functions of the buckets) is
-    machine-independent.  A changed bucket is a changed latency
-    distribution; the histogram section has no "tolerance" notion at
-    all — that is the point of gating the *distribution* instead of a
-    few percentile scalars.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "serve_latency_hist new in current "
-                "(no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "serve_latency_hist present in baseline but missing from "
-            "current artifact (telemetry disabled in the bench?)"
-        )
-        return
-    for key in sorted(set(base) | set(cur)):
-        if key in ignored:
-            notes.append(f"hist {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(
-                f"hist {key} missing from current artifact (bucket "
-                "emptied; the latency distribution changed)"
-            )
-            continue
-        if key not in base:
-            regressions.append(
-                f"hist {key} new in current: {cur[key]:g} (new bucket "
-                "filled; the latency distribution changed)"
-            )
-            continue
-        if base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"hist {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "virtual-replay bucket counts gate exactly)"
-            )
-
-
-def _compare_serve_slo(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the SLO report: burn rates upward-only, the rest exact.
-
-    ``*burn_rate`` keys come from the deterministic virtual replay, so
-    there is no noise to tolerate — any upward movement means the same
-    traffic now misses more of its latency objective.  Downward
-    movement is an improvement (noted, so an overly stale baseline is
-    visible).  The remaining keys pin the objective itself (threshold,
-    window, target fraction) and the violation counts, all exact.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "serve_slo new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "serve_slo present in baseline but missing from current "
-            "artifact (SLO evaluation skipped in the bench?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"slo {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"slo {key} missing from current artifact")
-            continue
-        if key.endswith(SLO_BURN_SUFFIX):
-            if cur[key] > base[key]:
-                regressions.append(
-                    f"slo {key}: {base[key]:g} -> {cur[key]:g} (burn "
-                    "rates gate upward-only: the same traffic now burns "
-                    "its error budget faster)"
-                )
-            elif cur[key] < base[key]:
-                notes.append(
-                    f"slo {key}: {base[key]:g} -> {cur[key]:g} "
-                    "(improved; consider regenerating the baseline)"
-                )
-            else:
-                notes.append(f"slo {key}: {cur[key]:g} (ok)")
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"slo {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "SLO parameters and violation counts gate exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"slo {key} new in current: {cur[key]:g}")
-
-
-def _compare_update(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the incremental-update section — everything exact.
-
-    The update bench is a pure function of the pinned graph, update
-    batch and codec: dirty-shard counts, re-solved row totals and the
-    store fingerprints are as deterministic as op counters, so every
-    key gates exactly.  A fingerprint mismatch means the stored
-    *bytes* changed — either an intentional codec/solver change
-    (regenerate the baseline) or broken byte-identity.  The
-    :data:`UPDATE_COST_KEY` failure message additionally names the
-    direction, because a rising cost ratio is the specific regression
-    this section exists to catch: updates doing rebuild-shaped work.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "update section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "update section present in baseline but missing from current "
-            "artifact (update bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"update {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"update {key} missing from current artifact")
-            continue
-        if base[key] != cur[key]:
-            if key == UPDATE_COST_KEY and cur[key] > base[key]:
-                regressions.append(
-                    f"update {key}: {base[key]:g} -> {cur[key]:g} (the "
-                    "update now does more rebuild-shaped work per batch "
-                    "— less incremental is the regression)"
-                )
-            else:
-                direction = "up" if cur[key] > base[key] else "down"
-                regressions.append(
-                    f"update {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"({direction}; the update bench is deterministic and "
-                    "gates exactly)"
-                )
-        elif key.endswith("fingerprint"):
-            notes.append(f"update {key}: {cur[key]:g} (byte-exact, ok)")
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"update {key} new in current: {cur[key]:g}")
-
-
-def _compare_dist(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the multi-node bench section.
-
-    The dist bench replays a seeded skewed trace through the
-    consistent-hash router on a virtual cluster, so its event counts
-    (failovers, node losses, saturated rejections, rebalance moves,
-    recovered shards) and the routed *answer fingerprint* gate exactly
-    — a changed fingerprint means routed answers diverged from the
-    single-store ground truth, which is a correctness bug, not a perf
-    tradeoff.  The :data:`DIST_UPWARD_SUFFIXES` magnitudes (routed
-    percentile latencies, simulated ``network_bytes``, cluster-build
-    makespans) gate upward with ``rtol`` like ``virtual.*`` timings.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "dist section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "dist section present in baseline but missing from current "
-            "artifact (dist bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"dist {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"dist {key} missing from current artifact")
-            continue
-        if key.endswith("fingerprint"):
-            if base[key] != cur[key]:
-                regressions.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} (the "
-                    "routed answer fingerprint gates exactly; routed "
-                    "serving must stay bitwise-identical to the "
-                    "single-node store)"
-                )
-            else:
-                notes.append(f"dist {key}: {cur[key]:g} (byte-exact, ok)")
-        elif key.endswith(DIST_UPWARD_SUFFIXES):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%}; network volume "
-                    "and routed latencies gate upward)"
-                )
-            else:
-                notes.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"dist {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "failover/loss/rebalance event counts gate exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"dist {key} new in current: {cur[key]:g}")
+            yield False, new
 
 
 def _report(regressions: List[str], notes: List[str], verbose: bool) -> None:
@@ -929,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rtol",
         type=float,
         default=0.10,
-        help="relative slowdown tolerance for timings (default 0.10)",
+        help="relative tolerance of the upward gates (default 0.10)",
     )
     parser.add_argument(
         "--include-wall",
@@ -941,21 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="append",
         default=[],
         metavar="KEY",
-        help="exclude a counter/timing/param key from gating (repeatable)",
-    )
-    parser.add_argument(
-        "--trace-atol",
-        type=float,
-        default=0.02,
-        help="absolute tolerance for trace_summary contention/idle/"
-        "overhead fractions (default 0.02)",
-    )
-    parser.add_argument(
-        "--serve-atol",
-        type=float,
-        default=0.02,
-        help="absolute downward tolerance for serve hit-rate/speedup "
-        "keys (default 0.02)",
+        help="exclude a key of any section from gating (repeatable)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-key notes"
@@ -971,8 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rtol=args.rtol,
             include_wall=args.include_wall,
             ignore=args.ignore,
-            trace_atol=args.trace_atol,
-            serve_atol=args.serve_atol,
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

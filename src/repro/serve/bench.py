@@ -62,8 +62,7 @@ full rebuild, the landmark prescreen certifies shards clean, a
 keeps answering from it until :meth:`refresh` adopts the new one, and
 a corruption drill across an *in-flight* update aborts with the live
 generation intact.  The ``update`` artifact section is gated in CI
-against ``benchmarks/baselines/BENCH_update.json`` (every field exact;
-``update.cost_ratio`` additionally gates upward-only).
+against ``benchmarks/baselines/BENCH_update.json`` (every field exact).
 
 Regenerate a baseline after an intentional serving change::
 
@@ -86,9 +85,8 @@ with a failed node, replication ≥ 2 — and the hot-shard-skewed trace
 *improve* after :meth:`~repro.serve.router.ShardRouter.rebalance`
 moves the hot shards off the overloaded node.  The ``dist`` artifact
 section is gated in CI against
-``benchmarks/baselines/BENCH_dist.json`` (answer fingerprints and
-failover/loss event counts exact; ``network_bytes``, makespans and
-``*_ms`` percentiles upward-only).
+``benchmarks/baselines/BENCH_dist.json`` by the rules in
+:data:`repro.obs.regress.SECTIONS`.
 
 ``--curve accuracy_latency.json`` instead sweeps every codec and
 writes the accuracy-vs-latency curve artifact

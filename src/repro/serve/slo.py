@@ -89,12 +89,8 @@ class SLOReport:
         return self.burn_rate <= 1.0
 
     def to_flat(self, prefix: str) -> Dict[str, float]:
-        """Flat numeric dict for a BENCH artifact section.
-
-        Everything except the burn rates is gated exactly by
-        ``repro.obs.regress``; keys ending in ``burn_rate`` gate
-        upward-only (burning budget faster is the regression).
-        """
+        """Flat numeric dict for a BENCH artifact section, gated by
+        ``repro.obs.regress`` (``burn_rate`` keys upward-only)."""
         return {
             f"{prefix}.threshold_ms": self.spec.threshold * 1e3,
             f"{prefix}.objective": float(self.spec.objective),

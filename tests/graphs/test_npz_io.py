@@ -33,3 +33,18 @@ class TestNpzRoundtrip:
         np.savez(bogus, something=np.arange(3))
         with pytest.raises(GraphFormatError, match="not a repro graph"):
             load_graph_npz(bogus)
+
+    def test_duplicate_arcs_rejected(self, tmp_path):
+        # arcs 1->0 of weight 0.5 then 1.0: the interpreted sweep would
+        # keep the heavier last copy, so the loader refuses the row
+        bogus = tmp_path / "dup.npz"
+        np.savez(
+            bogus,
+            indptr=np.array([0, 0, 2], dtype=np.int64),
+            indices=np.array([0, 0], dtype=np.int64),
+            weights=np.array([0.5, 1.0]),
+            directed=np.array([True]),
+            name=np.array(["dup"]),
+        )
+        with pytest.raises(GraphFormatError, match="duplicate arc 1->0"):
+            load_graph_npz(bogus)

@@ -1,10 +1,11 @@
 """The regression comparator: exact counters, tolerant timings, exits."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
-from repro.obs import build_artifact, write_artifact
+from repro.obs import build_artifact, load_artifact, write_artifact
 from repro.obs.regress import (
     check_kernel_consistency,
     compare_artifacts,
@@ -156,16 +157,12 @@ class TestTraceSummaryGate:
 
     def test_fraction_growth_past_atol_fails(self):
         cur = traced_artifact(**{"trace.idle_fraction": 0.14})
-        regressions, _ = compare_artifacts(
-            traced_artifact(), cur, trace_atol=0.02
-        )
+        regressions, _ = compare_artifacts(traced_artifact(), cur)
         assert any("trace.idle_fraction" in r for r in regressions)
 
     def test_growth_within_atol_passes(self):
         cur = traced_artifact(**{"trace.idle_fraction": 0.11})
-        regressions, _ = compare_artifacts(
-            traced_artifact(), cur, trace_atol=0.02
-        )
+        regressions, _ = compare_artifacts(traced_artifact(), cur)
         assert regressions == []
 
     def test_fraction_drop_is_an_improvement(self):
@@ -217,18 +214,6 @@ class TestTraceSummaryGate:
         )
         assert regressions == []
         assert any("ignored" in n for n in notes)
-
-    def test_cli_trace_atol_flag(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_artifact(str(base), traced_artifact())
-        write_artifact(
-            str(cur), traced_artifact(**{"trace.idle_fraction": 0.14})
-        )
-        assert main([str(base), str(cur), "--quiet"]) == 1
-        assert main(
-            [str(base), str(cur), "--trace-atol", "0.10", "--quiet"]
-        ) == 0
 
 
 def consistent_kernel_counters(**overrides):
@@ -373,3 +358,157 @@ class TestMainExitCodes:
         )
         assert main([base, cur]) == 1
         assert main([base, cur, "--rtol", "0.25"]) == 0
+
+
+BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+
+COMMITTED_BASELINES = [
+    "BENCH_dist.json",
+    "BENCH_serve.json",
+    "BENCH_serve_f4.json",
+    "BENCH_serve_u16q.json",
+    "BENCH_smoke.json",
+    "BENCH_smoke_batched.json",
+    "BENCH_smoke_delta.json",
+    "BENCH_smoke_johnson.json",
+    "BENCH_update.json",
+]
+
+
+@pytest.mark.parametrize("name", COMMITTED_BASELINES)
+def test_committed_baseline_matches_itself(name):
+    art = load_artifact(str(BASELINE_DIR / name))
+    regressions, _ = compare_artifacts(art, copy.deepcopy(art))
+    assert regressions == []
+
+
+#: one small section per optional gate, shaped like the committed baselines
+SECTION_PAYLOADS = {
+    "faults": {
+        "faults.sim.deaths": 1,
+        "faults.sim.requeued_iterations": 1,
+        "faults.sim.stalls": 0,
+        "faults.virtual.total": 1000.0,
+    },
+    "update": {
+        "update.cost_ratio": 0.25,
+        "update.dirty_shards": 1.0,
+        "update.fingerprint": 2677263346.0,
+        "update.observed_max_abs_error": 0.0,
+        "update.rows_resolved": 16.0,
+        "update.store_bytes": 131072.0,
+    },
+    "dist": {
+        "dist.build.makespan": 40000.0,
+        "dist.build.network_bytes": 98304.0,
+        "dist.loss.failovers": 99.0,
+        "dist.loss.node_losses": 1.0,
+        "dist.loss.p99_ms": 2.0,
+        "dist.route.answer_fingerprint": 2416227700.0,
+        "dist.route.drill_us": 50.0,
+        "dist.skew.shard_loads": 55.0,
+        "dist.store.fingerprint": 1317785840.0,
+    },
+}
+
+#: (section, key, value in current, regression expected) at rtol 0.10
+SECTION_CASES = [
+    # faults: virtual recovery timings gate upward by rtol
+    ("faults", "faults.virtual.total", 1101.0, True),
+    ("faults", "faults.virtual.total", 1099.0, False),
+    ("faults", "faults.virtual.total", 10.0, False),
+    # faults: every other key is an exact event count
+    ("faults", "faults.sim.deaths", 2, True),
+    ("faults", "faults.sim.deaths", 0, True),
+    ("faults", "faults.sim.requeued_iterations", 2, True),
+    ("faults", "faults.sim.stalls", 1, True),
+    # update: every key exact, in either direction
+    ("update", "update.cost_ratio", 0.5, True),
+    ("update", "update.cost_ratio", 0.125, True),
+    ("update", "update.dirty_shards", 2.0, True),
+    ("update", "update.dirty_shards", 0.0, True),
+    ("update", "update.fingerprint", 1.0, True),
+    ("update", "update.observed_max_abs_error", 1e-9, True),
+    ("update", "update.rows_resolved", 15.0, True),
+    ("update", "update.store_bytes", 131073.0, True),
+    # dist: fingerprints exact
+    ("dist", "dist.route.answer_fingerprint", 2416227701.0, True),
+    ("dist", "dist.route.answer_fingerprint", 2416227699.0, True),
+    ("dist", "dist.store.fingerprint", 1.0, True),
+    # dist: latencies, network volume and makespans gate upward by rtol
+    ("dist", "dist.loss.p99_ms", 2.3, True),
+    ("dist", "dist.loss.p99_ms", 2.1, False),
+    ("dist", "dist.loss.p99_ms", 0.5, False),
+    ("dist", "dist.build.network_bytes", 120000.0, True),
+    ("dist", "dist.build.network_bytes", 1.0, False),
+    ("dist", "dist.build.makespan", 45000.0, True),
+    ("dist", "dist.build.makespan", 40000.0 * 1.05, False),
+    ("dist", "dist.build.makespan", 100.0, False),
+    ("dist", "dist.route.drill_us", 60.0, True),
+    ("dist", "dist.route.drill_us", 40.0, False),
+    # dist: event counts exact
+    ("dist", "dist.loss.failovers", 100.0, True),
+    ("dist", "dist.loss.failovers", 98.0, True),
+    ("dist", "dist.loss.node_losses", 0.0, True),
+    ("dist", "dist.skew.shard_loads", 56.0, True),
+]
+
+
+def with_section(section, **changes):
+    art = make_artifact()
+    art[section] = {**SECTION_PAYLOADS[section], **changes}
+    return art
+
+
+class TestSectionGates:
+    @pytest.mark.parametrize("section", sorted(SECTION_PAYLOADS))
+    def test_identical_section_passes(self, section):
+        regressions, _ = compare_artifacts(
+            with_section(section), with_section(section)
+        )
+        assert regressions == []
+
+    @pytest.mark.parametrize(
+        "section,key,value,fails",
+        SECTION_CASES,
+        ids=[f"{key}={value!r}" for _, key, value, _ in SECTION_CASES],
+    )
+    def test_single_key_mutation(self, section, key, value, fails):
+        cur = with_section(section, **{key: value})
+        regressions, _ = compare_artifacts(with_section(section), cur)
+        if fails:
+            assert any(key in r for r in regressions), regressions
+        else:
+            assert regressions == []
+
+    @pytest.mark.parametrize("section", sorted(SECTION_PAYLOADS))
+    def test_missing_key_fails(self, section):
+        cur = with_section(section)
+        key = sorted(cur[section])[0]
+        del cur[section][key]
+        regressions, _ = compare_artifacts(with_section(section), cur)
+        assert any(key in r and "missing" in r for r in regressions)
+
+    @pytest.mark.parametrize("section", sorted(SECTION_PAYLOADS))
+    def test_missing_section_fails(self, section):
+        regressions, _ = compare_artifacts(
+            with_section(section), make_artifact()
+        )
+        assert any(section in r and "missing" in r for r in regressions)
+
+    @pytest.mark.parametrize("section", sorted(SECTION_PAYLOADS))
+    def test_section_new_in_current_is_a_note(self, section):
+        regressions, notes = compare_artifacts(
+            make_artifact(), with_section(section)
+        )
+        assert regressions == []
+        assert any(section in n for n in notes)
+
+    def test_update_cost_ratio_rise_is_named(self):
+        cur = with_section("update", **{"update.cost_ratio": 0.5})
+        regressions, _ = compare_artifacts(with_section("update"), cur)
+        assert any(
+            r.startswith("update update.cost_ratio: 0.25 -> 0.5")
+            and "rebuild-shaped" in r
+            for r in regressions
+        )
